@@ -16,11 +16,9 @@ import pytest
 from repro.harness.perf import (
     bench_authenticated_broadcast,
     bench_broadcast_storm,
-    bench_digest_cache,
     bench_event_churn,
     bench_heap_churn_1m,
     bench_message_storm,
-    bench_same_tick_drain,
     bench_xpaxos_closed_loop,
     format_suite,
     run_suite,
@@ -58,17 +56,6 @@ def test_broadcast_storm_speedup(benchmark):
     assert result["speedup"] > 1.05
 
 
-def test_digest_cache_speedup(benchmark):
-    result = benchmark.pedantic(
-        lambda: bench_digest_cache(count=600, repeat=2),
-        rounds=1, iterations=1)
-    # Byte-identical digest streams: the cache may only change when
-    # hashing happens, never what is hashed.
-    assert result["results_match"]
-    # Typical ratio ~8x (1 compute + 8 hits vs 9 computes); loose floor.
-    assert result["speedup"] > 2.0
-
-
 def test_authenticated_broadcast_speedup(benchmark):
     result = benchmark.pedantic(
         lambda: bench_authenticated_broadcast(1_500, repeat=2),
@@ -94,17 +81,6 @@ def test_heap_churn_speedup(benchmark):
     assert result["speedup"] > 1.05
 
 
-def test_same_tick_drain_speedup(benchmark):
-    result = benchmark.pedantic(
-        lambda: bench_same_tick_drain(ticks=300, chain=50, backlog=50_000,
-                                      repeat=2),
-        rounds=1, iterations=1)
-    # The FIFO fast lane must fire the same callbacks in the same order
-    # as heap-only draining.
-    assert result["results_match"]
-    assert result["speedup"] > 1.05
-
-
 def test_closed_loop_xpaxos_deterministic(benchmark):
     result = benchmark.pedantic(
         lambda: bench_xpaxos_closed_loop(num_clients=8,
@@ -117,15 +93,13 @@ def test_closed_loop_xpaxos_deterministic(benchmark):
 def test_suite_payload_shape():
     payload = run_suite(events=2_000, messages=1_000, broadcast_rounds=100,
                         clients=2, duration_ms=400.0, repeat=1,
-                        heap_backlog=20_000, heap_churn=2_000,
-                        same_tick_ticks=50)
+                        heap_backlog=20_000, heap_churn=2_000)
     assert set(payload["benchmarks"]) == {
-        "event_churn", "heap_churn_1m", "same_tick_drain",
-        "message_storm", "broadcast_storm",
-        "authenticated_broadcast", "digest_cache", "xpaxos_closed_loop",
+        "event_churn", "heap_churn_1m", "message_storm", "broadcast_storm",
+        "authenticated_broadcast", "xpaxos_closed_loop",
         "pipelined_throughput", "cohort_driver"}
     assert payload["params"]["only"] is None
-    for key in ("heap_backlog", "heap_churn", "same_tick_ticks"):
+    for key in ("heap_backlog", "heap_churn"):
         assert key in payload["params"]
     # Host facts for gate-trip triage ride every payload (docs/ci.md).
     assert "nproc" in payload["host"]
@@ -139,7 +113,6 @@ def test_suite_only_subset():
     payload = run_suite(events=2_000, messages=1_000, broadcast_rounds=100,
                         clients=2, duration_ms=400.0, repeat=1,
                         heap_backlog=20_000, heap_churn=2_000,
-                        same_tick_ticks=50,
                         only=["message_storm", "event_churn"])
     # Registry order is preserved regardless of the order given.
     assert list(payload["benchmarks"]) == ["event_churn", "message_storm"]

@@ -227,12 +227,12 @@ class UnregisteredWireMessageRule(Rule):
 @rule
 class FrozenMessageMutationRule(Rule):
     """``object.__setattr__`` outside ``__post_init__`` breaks the
-    digest-cache immutability contract.
+    frozen-message immutability contract.
 
-    ``digest_of`` memoizes digests on frozen wire-message instances and
-    never invalidates them: a message mutated after its first digest
-    would keep authenticating under the stale digest, silently
-    defeating content tampering detection.  Frozen dataclasses may
+    Derived digests are memoized on frozen instances and never
+    invalidated (``Batch.bodies_digest``): a batch mutated after its
+    first digest would keep authenticating under the stale digest,
+    silently defeating content tampering detection.  Frozen dataclasses may
     initialise derived fields in ``__post_init__`` (the instance has
     not escaped yet), and ``crypto/primitives.py`` owns the sanctioned
     memoization hook (:func:`cache_on_instance`); every other
@@ -248,7 +248,7 @@ class FrozenMessageMutationRule(Rule):
         self._func_stack: List[str] = []
 
     def check_module(self, module: ModuleInfo):
-        # The digest-cache implementation itself is the one sanctioned
+        # cache_on_instance, defined there, is the one sanctioned
         # mutation site.
         if module.parts[-2:] == ("crypto", "primitives.py"):
             return []
@@ -273,7 +273,7 @@ class FrozenMessageMutationRule(Rule):
                 node,
                 "object.__setattr__ outside __post_init__ mutates a "
                 "frozen instance; messages are immutable once digested "
-                "(the digest cache is never invalidated) -- initialise "
+                "(memoized digests are never invalidated) -- initialise "
                 "derived fields in __post_init__, or memoize derived "
                 "values via crypto.primitives.cache_on_instance")
         self.generic_visit(node)

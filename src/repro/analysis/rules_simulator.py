@@ -99,8 +99,8 @@ class MutableDefaultRule(Rule):
 class HeapOutsideCoreRule(Rule):
     """Direct ``heapq`` use belongs to ``sim/core.py`` alone.
 
-    The event heap's invariants (light 5-tuple entries vs ``Event``
-    objects, the same-tick fast lane, lazy cancellation, compaction)
+    The event heap's invariants (light 5-slot entries vs ``Event``
+    objects, the entry arena, lazy cancellation, compaction)
     live behind ``Simulator.schedule``/``post``/``cancel``.  A second
     ``heapq`` user either duplicates those invariants or silently breaks
     them -- both have cost; schedule through the ``Simulator`` API

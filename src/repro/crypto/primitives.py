@@ -5,6 +5,9 @@ Implementation notes
 
 * A :class:`Digest` is a real SHA-256 over a canonical encoding of the
   message payload, so content tampering is always detectable.
+  :func:`digest_of` encodes and hashes on every call; a derived digest
+  worth keeping is memoized by its owner through
+  :func:`cache_on_instance` (``Batch.bodies_digest``).
 * A :class:`Signature` is *unforgeable by construction*: it can only be
   created through :meth:`KeyStore.sign`, which requires the signer's private
   capability.  Byzantine behaviour in the tests therefore has exactly the
@@ -130,54 +133,14 @@ class Digest:
 
 _sha256 = hashlib.sha256
 
-#: Attribute used to memoize ``digest_of`` on frozen message instances.
-_DIGEST_CACHE_ATTR = "_cached_digest"
-
-#: Per-class cacheability memo: a class maps to True when its instances
-#: are frozen dataclasses (immutable by contract, enforced by lint rule
-#: A002) that accept the cache attribute.
-_CACHEABLE: Dict[type, bool] = {}
-
-_cache_hits = 0
-_cache_stores = 0
-_cache_uncached = 0
+_digest_calls = 0
 
 
 def digest_of(obj: Any) -> Digest:
-    """Compute ``D(obj)`` over the canonical encoding.
-
-    Memoized per message: frozen wire-message dataclasses carry their
-    digest in a ``_cached_digest`` instance attribute after the first
-    call, so re-digesting a message (leader stamps it per receiver, every
-    receiver verifies it, quorum certificates re-reference it) costs one
-    attribute probe instead of a canonical encode + SHA-256.  The cache
-    is never invalidated -- messages are immutable by contract (enforced
-    by lint rule A002 and the mutation-after-digest guard test).  Plain
-    tuples/lists/dicts are never cached.
-    """
-    global _cache_hits, _cache_stores, _cache_uncached
-    cached = getattr(obj, _DIGEST_CACHE_ATTR, None)
-    if cached is not None:
-        _cache_hits += 1
-        return cached
-    digest = Digest(_sha256(_canonical(obj)).digest())
-    cls = obj.__class__
-    cacheable = _CACHEABLE.get(cls)
-    if cacheable is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        cacheable = _CACHEABLE[cls] = bool(params is not None
-                                           and params.frozen)
-    if cacheable:
-        try:
-            object.__setattr__(obj, _DIGEST_CACHE_ATTR, digest)
-            _cache_stores += 1
-        except (AttributeError, TypeError):
-            # Slotted or otherwise closed class: remember and stop trying.
-            _CACHEABLE[cls] = False
-            _cache_uncached += 1
-    else:
-        _cache_uncached += 1
-    return digest
+    """Compute ``D(obj)``: SHA-256 over the canonical encoding."""
+    global _digest_calls
+    _digest_calls += 1
+    return Digest(_sha256(_canonical(obj)).digest())
 
 
 def cache_on_instance(obj: Any, attr: str, value: Any) -> None:
@@ -185,28 +148,28 @@ def cache_on_instance(obj: Any, attr: str, value: Any) -> None:
 
     The sanctioned mutation point for frozen dataclasses: lint rule A002
     flags any other ``object.__setattr__`` on message instances.  Only
-    derived values (digests of immutable fields) may be cached -- the
-    attribute must never feed back into equality, hashing, or the wire
-    encoding.
+    derived values (digests of immutable fields, e.g.
+    ``Batch.bodies_digest``) may be cached -- the attribute must never
+    feed back into equality, hashing, or the wire encoding.
     """
     object.__setattr__(obj, attr, value)
 
 
 def digest_cache_stats() -> Dict[str, int]:
-    """Digest-cache counters for ``repro profile`` (docs/profiling.md)."""
-    return {
-        "hits": _cache_hits,
-        "stores": _cache_stores,
-        "uncached": _cache_uncached,
-    }
+    """``digest_of`` call counters for ``repro profile``
+    (docs/profiling.md).
+
+    ``digest_of`` memoizes nothing, so every call counts as ``uncached``
+    and ``hits``/``stores`` always read 0; the three keys are kept so
+    ``hits + stores + uncached`` stays the total call count.
+    """
+    return {"hits": 0, "stores": 0, "uncached": _digest_calls}
 
 
 def reset_digest_cache_stats() -> None:
-    """Zero the digest-cache counters (profiling harness hook)."""
-    global _cache_hits, _cache_stores, _cache_uncached
-    _cache_hits = 0
-    _cache_stores = 0
-    _cache_uncached = 0
+    """Zero the ``digest_of`` call counter (profiling harness hook)."""
+    global _digest_calls
+    _digest_calls = 0
 
 
 class Signature(tuple):

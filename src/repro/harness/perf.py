@@ -37,8 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.authenticators import MAC_VECTOR
 from repro.crypto.costs import CostModel, CpuMeter
-from repro.crypto.primitives import Digest, KeyStore, Mac, Signature, digest_of
-from repro.smr.messages import Batch, Request
+from repro.crypto.primitives import Digest, KeyStore, Mac, Signature
 from repro.harness.configs import paper_config
 from repro.harness.runner import ExperimentRunner
 from repro.net.bandwidth import BandwidthModel
@@ -235,41 +234,6 @@ def _heap_churn_workload(sim, backlog: int, churn: int) -> Dict[str, Any]:
     sim.call_after(0.0, pump, label="reply")
     sim.run(until=churn * 0.01 + 1.0)
     return {"executed": sim.executed, "pending": sim.pending}
-
-
-def _same_tick_workload(sim, ticks: int, chain: int,
-                        backlog: int) -> Dict[str, Any]:
-    """Same-tick cascades over a deep heap: each tick fires a chain of
-    zero-delay events (the ``call_soon``/parked-flush pump pattern), with
-    a far-future backlog keeping the heap deep.  The current simulator
-    drains each chain through the FIFO fast lane; the seed pays a
-    ``log(backlog)`` heap push and pop per link."""
-    def noop() -> None:
-        pass
-
-    base = 1_000_000.0
-    for i in range(backlog):
-        sim.call_at(base + i, noop, label="backlog")
-
-    state = {"tick": 0, "left": 0, "fired": 0}
-
-    def link() -> None:
-        state["fired"] += 1
-        left = state["left"]
-        if left > 0:
-            state["left"] = left - 1
-            sim.call_at(sim.now, link, label="pump")
-        else:
-            tick = state["tick"]
-            if tick < ticks:
-                state["tick"] = tick + 1
-                state["left"] = chain
-                sim.call_after(0.25, link, label="tick")
-
-    sim.call_after(0.0, link, label="tick")
-    sim.run(until=ticks * 0.25 + 1.0)
-    return {"executed": sim.executed, "fired": state["fired"],
-            "pending": sim.pending}
 
 
 def _storm_endpoints(network, count: int = 9) -> List[str]:
@@ -480,22 +444,6 @@ def bench_heap_churn_1m(backlog: int = 1_000_000, churn: int = 100_000,
         backlog + churn, repeat)
 
 
-def bench_same_tick_drain(ticks: int = 2_000, chain: int = 50,
-                          backlog: int = 200_000,
-                          repeat: int = 3) -> Dict[str, Any]:
-    """Zero-delay cascades over a deep heap, seed vs current.
-
-    The batch-drain lane's home turf: the current simulator routes each
-    ``call_at(now, ...)`` link through the same-tick FIFO, paying zero
-    heap operations per link; the seed pays ``2 log(backlog)`` heap moves
-    for every one.
-    """
-    return _compare(
-        lambda: _same_tick_workload(Simulator(), ticks, chain, backlog),
-        lambda: _same_tick_workload(SeedSimulator(), ticks, chain, backlog),
-        ticks * chain, repeat)
-
-
 def _current_net(seed: int):
     sim = Simulator()
     latency = LatencyModel.ec2(seed=seed)
@@ -566,13 +514,14 @@ def bench_authenticated_broadcast(rounds: int = 4_000, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# Digest-cache micro-benchmark (seed encoder preserved verbatim)
+# Seed canonical encoder (preserved verbatim)
 # ----------------------------------------------------------------------
 
 def _seed_canonical(obj: Any) -> bytes:
-    """The seed's canonical encoder, preserved verbatim as the baseline
-    for :func:`bench_digest_cache`: one generic isinstance chain, no
-    exact-type fast path, byte-identical output to the current encoder."""
+    """The seed's canonical encoder, preserved verbatim as the reference
+    the byte-identity tests hold :func:`digest_of` to: one generic
+    isinstance chain, no exact-type fast path, byte-identical output to
+    the current encoder."""
     if obj is None:
         return b"N"
     if isinstance(obj, bool):
@@ -611,43 +560,8 @@ def _seed_canonical(obj: Any) -> bytes:
 
 
 def _seed_digest_of(obj: Any) -> Digest:
-    """The seed's ``digest_of``: always re-encode, never memoize."""
+    """The seed's ``digest_of`` over :func:`_seed_canonical`."""
     return Digest(hashlib.sha256(_seed_canonical(obj)).digest())
-
-
-def _digest_cache_workload(digest_fn: Callable[[Any], Digest],
-                           count: int, fanout: int) -> Dict[str, Any]:
-    """Digest ``count`` fresh wire batches ``fanout`` times each.
-
-    The re-digest pattern of every ordering protocol: the leader hashes
-    a batch once to stamp it, then each of ``fanout - 1`` receivers
-    hashes the same (shared, in-process) object to verify.  Batches are
-    built inside the timed region so the cached side starts cold; the
-    rolling checksum over every returned digest is the equivalence
-    check between the cached and seed implementations.
-    """
-    checksum = hashlib.sha256()
-    update = checksum.update
-    for i in range(count):
-        batch = Batch(tuple(
-            Request(op=("put", f"key-{i}-{j}", b"v" * 24),
-                    timestamp=i * 4 + j, client=j, size_bytes=64)
-            for j in range(4)))
-        for _ in range(fanout):
-            update(digest_fn(batch).value)
-    return {"digests": count * fanout, "checksum": checksum.hexdigest()}
-
-
-def bench_digest_cache(count: int = 3_000, fanout: int = 9,
-                       repeat: int = 3) -> Dict[str, Any]:
-    """Per-message digest cache + fast canonical encoding vs the seed
-    encoder, on the protocol re-digest pattern (stamp once, verify
-    ``fanout - 1`` times).  Byte-identical digests are asserted via the
-    rolling checksum in ``results_match``."""
-    return _compare(
-        lambda: _digest_cache_workload(digest_of, count, fanout),
-        lambda: _digest_cache_workload(_seed_digest_of, count, fanout),
-        count * fanout, repeat)
 
 
 def bench_xpaxos_closed_loop(num_clients: int = 16,
@@ -805,7 +719,6 @@ def suite_benchmarks(events: int = 200_000, messages: int = 100_000,
                      duration_ms: float = 2_000.0, seed: int = 0,
                      repeat: int = 3, heap_backlog: int = 1_000_000,
                      heap_churn: int = 100_000,
-                     same_tick_ticks: int = 2_000,
                      ) -> Dict[str, Callable[[], Dict[str, Any]]]:
     """The suite registry: benchmark name -> ready-to-run thunk.
 
@@ -817,15 +730,12 @@ def suite_benchmarks(events: int = 200_000, messages: int = 100_000,
         "event_churn": lambda: bench_event_churn(events, repeat=repeat),
         "heap_churn_1m": lambda: bench_heap_churn_1m(
             heap_backlog, heap_churn, repeat=repeat),
-        "same_tick_drain": lambda: bench_same_tick_drain(
-            same_tick_ticks, repeat=repeat),
         "message_storm": lambda: bench_message_storm(
             messages, seed=seed, repeat=repeat),
         "broadcast_storm": lambda: bench_broadcast_storm(
             broadcast_rounds, seed=seed, repeat=repeat),
         "authenticated_broadcast": lambda: bench_authenticated_broadcast(
             max(1, broadcast_rounds // 3), seed=seed, repeat=repeat),
-        "digest_cache": lambda: bench_digest_cache(repeat=repeat),
         "xpaxos_closed_loop": lambda: bench_xpaxos_closed_loop(
             clients, duration_ms, seed=seed),
         "pipelined_throughput": lambda: bench_pipelined_throughput(
@@ -874,7 +784,7 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
               broadcast_rounds: int = 12_500, clients: int = 16,
               duration_ms: float = 2_000.0, seed: int = 0,
               repeat: int = 3, heap_backlog: int = 1_000_000,
-              heap_churn: int = 100_000, same_tick_ticks: int = 2_000,
+              heap_churn: int = 100_000,
               only: Optional[List[str]] = None) -> Dict[str, Any]:
     """Run the suite; returns the ``BENCH_perf.json`` payload.
 
@@ -886,8 +796,7 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
         events=events, messages=messages,
         broadcast_rounds=broadcast_rounds, clients=clients,
         duration_ms=duration_ms, seed=seed, repeat=repeat,
-        heap_backlog=heap_backlog, heap_churn=heap_churn,
-        same_tick_ticks=same_tick_ticks)
+        heap_backlog=heap_backlog, heap_churn=heap_churn)
     if only:
         unknown = sorted(set(only) - set(benchmarks))
         if unknown:
@@ -911,7 +820,6 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
             "broadcast_rounds": broadcast_rounds, "clients": clients,
             "duration_ms": duration_ms, "seed": seed, "repeat": repeat,
             "heap_backlog": heap_backlog, "heap_churn": heap_churn,
-            "same_tick_ticks": same_tick_ticks,
             "only": sorted(only) if only else None,
         },
         "benchmarks": {name: thunk() for name, thunk in benchmarks.items()},

@@ -9,16 +9,16 @@ Two complementary views of where time goes:
   ``python -m pstats`` or snakeviz) and/or rendered with
   :func:`format_stats`.
 * **Subsystem counters** -- the simulator's and network's own hot-loop
-  counters (heap ops, fast-lane traffic, pool hit-rate, compactions,
-  coalesced deliveries, MAC stamps/verifies), collected for free as the
-  run executes.  :func:`format_subsystems` renders them side by side;
-  ``docs/profiling.md`` explains how to read them.
+  counters (heap ops, pool hit-rate, compactions, coalesced deliveries,
+  MAC stamps/verifies) and the ``digest_of`` call count, collected for
+  free as the run executes.  :func:`format_subsystems` renders them side
+  by side; ``docs/profiling.md`` explains how to read them.
 
 The two disagree on purpose: cProfile says where *wall time* went under
 instrumentation overhead; the counters say what the hot loops *did*.
-Regressions usually show in the counters first (fast-lane fraction
-drops, pool hit-rate collapses) before they are big enough to see in a
-profile.
+Regressions usually show in the counters first (pool hit-rate
+collapses, digests per commit climb) before they are big enough to see
+in a profile.
 """
 
 from __future__ import annotations
@@ -86,13 +86,9 @@ def subsystem_counters(sim: Any = None,
         stats = network.stats
         out["network"] = (asdict(stats) if is_dataclass(stats)
                          else dict(vars(stats)))
-    # Digest-cache counters are process-global (the cache lives on the
-    # message instances, not on a sim or network), so they are always
-    # reported; probes = every digest_of() call in the process.
-    cache = dict(digest_cache_stats())
-    probes = cache["hits"] + cache["stores"] + cache["uncached"]
-    cache["hit_rate"] = cache["hits"] / probes if probes else 0.0
-    out["digest_cache"] = cache
+    # The digest_of() call count is process-global (it belongs to no
+    # sim or network), so it is always reported.
+    out["crypto"] = {"digest_of": sum(digest_cache_stats().values())}
     return out
 
 

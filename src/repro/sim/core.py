@@ -33,29 +33,19 @@ Design notes
   :meth:`Simulator.schedule` to skip the :class:`EventHandle`, or
   :meth:`Simulator.post` (message delivery) to skip the :class:`Event`
   object entirely -- a light posting is a bare ``[time, sequence, None,
-  callback, args]`` entry.
-* **Same-tick fast lane**: events scheduled at exactly ``now`` --
-  ``call_soon`` kicks, zero-latency deliveries, parked-flush pumps -- go
-  to a plain FIFO instead of the heap and are drained without a
-  ``heappush``/``heappop`` per event.  Ordering is unchanged: every heap
-  entry was pushed with a strictly earlier ``now`` (scheduling in the
-  past raises, and ``time == now`` routes to the FIFO), so at any instant
-  all heap entries due at ``now`` carry *smaller* sequence numbers than
-  every FIFO entry, and the drain takes the heap first while its head is
-  due.  ``Simulator(batch_drain=False)`` disables the lane; the
-  equivalence tests in ``tests/sim/test_core.py`` drive both modes
-  through identical schedules.
+  callback, args]`` entry.  Every event, including one scheduled at
+  exactly ``now``, goes through the heap: the ``(time, sequence)`` key
+  fires same-tick work after everything queued before it.
 
-:meth:`Simulator.stats` exposes the hot-loop counters (heap ops, fast-lane
-traffic, pool hit-rate, compactions) for ``repro profile`` and
-``repro bench --profile``; see ``docs/profiling.md``.
+:meth:`Simulator.stats` exposes the hot-loop counters (heap ops, pool
+hit-rate, compactions) for ``repro profile`` and ``repro bench
+--profile``; see ``docs/profiling.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -77,6 +67,9 @@ _COMPACT_MIN_CANCELLED = 64
 #: Hot-loop aliases: skip the module-attribute (and __init__ frame) per
 #: scheduled event.
 _heappush = heapq.heappush
+
+#: ``run()`` deadline when no ``until`` is given.
+_INF = float("inf")
 
 
 class Event:
@@ -147,15 +140,9 @@ class Simulator:
 
     The simulator never advances past an event without executing it, and it
     raises :class:`SimulationError` on attempts to schedule in the past.
-
-    Args:
-        batch_drain: route events scheduled at exactly ``now`` through the
-            same-tick FIFO lane (see the module design notes).  ``False``
-            forces every event through the heap -- observably identical,
-            kept for the equivalence tests.
     """
 
-    def __init__(self, batch_drain: bool = True) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         # Heap entries are uniform 5-slot lists:
         #   [time, sequence, event_or_None, callback, args]
@@ -163,8 +150,6 @@ class Simulator:
         # slot 2 as None.  Uniformity matters: heapq compares entries
         # element-wise, and mixing tuples with lists would raise.
         self._queue: List[List[Any]] = []
-        self._fifo: Deque[Event] = deque()
-        self._batch_drain = batch_drain
         self._sequence: int = 0
         self._executed: int = 0
         self._live: int = 0
@@ -180,7 +165,6 @@ class Simulator:
         # heap push is either a hit or a miss, so hits are derived.
         self._arena: List[List[Any]] = []
         self._arena_misses: int = 0
-        self._fast_lane: int = 0
         self._compactions: int = 0
         self._compaction_dropped: int = 0
         self._running = False
@@ -217,22 +201,18 @@ class Simulator:
         the hot loop.
         """
         scheduled = self._sequence
-        fast = self._fast_lane
-        heap_pushes = scheduled - fast
-        heap_pops = heap_pushes - len(self._queue) - self._compaction_dropped
+        heap_pops = scheduled - len(self._queue) - self._compaction_dropped
         # Every heap push either reuses an arena entry or allocates one,
         # so hits fall out of the miss count kept off the hot path.
-        arena_hits = heap_pushes - self._arena_misses
+        arena_hits = scheduled - self._arena_misses
         return {
             "now_ms": self._now,
             "scheduled": scheduled,
             "executed": self._executed,
             "pending": self._live,
             "cancelled": scheduled - self._executed - self._live,
-            "heap_pushes": heap_pushes,
+            "heap_pushes": scheduled,
             "heap_pops": heap_pops,
-            "fast_lane": fast,
-            "fast_lane_fraction": fast / scheduled if scheduled else 0.0,
             "compactions": self._compactions,
             "compaction_dropped": self._compaction_dropped,
             "peak_pending": self._peak_live,
@@ -244,8 +224,8 @@ class Simulator:
             "arena_cap": self._pool_cap,
             "arena_size": len(self._arena),
             "arena_hits": arena_hits,
-            "arena_hit_rate": (arena_hits / heap_pushes
-                               if heap_pushes else 0.0),
+            "arena_hit_rate": arena_hits / scheduled if scheduled
+            else 0.0,
         }
 
     # ------------------------------------------------------------------
@@ -267,8 +247,7 @@ class Simulator:
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        now = self._now
-        if time < now:
+        if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
@@ -288,24 +267,20 @@ class Simulator:
         event.args = args
         event.cancelled = False
         event.label = label
-        if time == now and self._batch_drain:
-            self._fifo.append(event)
-            self._fast_lane += 1
+        # An event entry only stores slots 0..2: slots 3/4 may hold stale
+        # refs from a recycled light posting, but they are never read
+        # while slot 2 is non-None, and run()'s exit pass clears whatever
+        # the arena retains.
+        arena = self._arena
+        if arena:
+            entry = arena.pop()
+            entry[0] = time
+            entry[1] = sequence
+            entry[2] = event
         else:
-            # An event entry only stores slots 0..2: slots 3/4 may hold
-            # stale refs from a recycled light posting, but they are
-            # never read while slot 2 is non-None, and run()'s exit pass
-            # clears whatever the arena retains.
-            arena = self._arena
-            if arena:
-                entry = arena.pop()
-                entry[0] = time
-                entry[1] = sequence
-                entry[2] = event
-            else:
-                self._arena_misses += 1
-                entry = [time, sequence, event, None, None]
-            _heappush(self._queue, entry)
+            self._arena_misses += 1
+            entry = [time, sequence, event, None, None]
+        _heappush(self._queue, entry)
         live = self._live + 1
         self._live = live
         if live > self._peak_live:
@@ -326,20 +301,13 @@ class Simulator:
         every delivery (they are never cancelled), which makes this the
         most frequently executed scheduling call in the repository.
 
-        Same-tick postings fall back to :meth:`schedule` so the FIFO
-        fast lane keeps carrying homogeneous :class:`Event` objects.
-
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        now = self._now
-        if time <= now:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time} (now is t={now})"
-                )
-            self.schedule(time, callback, args)
-            return
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time} (now is t={self._now})"
+            )
         sequence = self._sequence
         self._sequence = sequence + 1
         arena = self._arena
@@ -421,8 +389,8 @@ class Simulator:
         """Cancel a scheduled event if ``sequence`` still matches.
 
         Returns True if the event was live and is now cancelled.  The
-        queue entry (heap or FIFO) is removed lazily; when dead entries
-        pile up both structures are compacted in one pass.
+        heap entry is removed lazily; when dead entries pile up the heap
+        is compacted in one pass.
         """
         if event.sequence != sequence or event.cancelled:
             return False
@@ -432,8 +400,7 @@ class Simulator:
         self._live -= 1
         self._cancelled_queued += 1
         if (self._cancelled_queued > _COMPACT_MIN_CANCELLED
-                and self._cancelled_queued * 2
-                > len(self._queue) + len(self._fifo)):
+                and self._cancelled_queued * 2 > len(self._queue)):
             self._compact()
         return True
 
@@ -441,9 +408,8 @@ class Simulator:
         """Drop cancelled entries and re-heapify; pops stay in the same
         order because heap keys are unique ``(time, sequence)`` pairs.
 
-        Mutates the queue (and the FIFO) in place: ``run()`` holds
-        references to both across callbacks, and callbacks may trigger
-        compaction.
+        Mutates the queue in place: ``run()`` holds a reference to it
+        across callbacks, and callbacks may trigger compaction.
         """
         pool = self._pool
         pool_cap = self._pool_cap
@@ -463,18 +429,6 @@ class Simulator:
         self._compaction_dropped += len(queue) - len(keep)
         queue[:] = keep
         heapq.heapify(queue)
-        fifo = self._fifo
-        if fifo:
-            keep_fifo = []
-            for event in fifo:
-                if event.cancelled:
-                    if len(pool) < pool_cap:
-                        pool.append(event)
-                else:
-                    keep_fifo.append(event)
-            if len(keep_fifo) != len(fifo):
-                fifo.clear()
-                fifo.extend(keep_fifo)
         self._cancelled_queued = 0
         self._compactions += 1
 
@@ -496,42 +450,32 @@ class Simulator:
             True if an event was executed; False if the queue was empty.
         """
         queue = self._queue
-        fifo = self._fifo
         arena = self._arena
-        while True:
-            if fifo and (not queue or queue[0][0] > self._now):
-                event = fifo.popleft()
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    self._retire(event)
-                    continue
-            elif queue:
-                entry = heapq.heappop(queue)
-                event = entry[2]
-                if event is None:
-                    self._now = entry[0]
-                    self._executed += 1
-                    self._live -= 1
-                    callback = entry[3]
-                    args = entry[4]
-                    entry[3] = None
-                    entry[4] = None
-                    if len(arena) < self._pool_cap:
-                        arena.append(entry)
-                    callback(*args)
-                    return True
-                # Event entry: slots 3/4 are never read while slot 2 is
-                # non-None, so the shell is recyclable as soon as slot 2
-                # is cleared.
-                entry[2] = None
+        while queue:
+            entry = heapq.heappop(queue)
+            event = entry[2]
+            if event is None:
+                self._now = entry[0]
+                self._executed += 1
+                self._live -= 1
+                callback = entry[3]
+                args = entry[4]
+                entry[3] = None
+                entry[4] = None
                 if len(arena) < self._pool_cap:
                     arena.append(entry)
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    self._retire(event)
-                    continue
-            else:
-                return False
+                callback(*args)
+                return True
+            # Event entry: slots 3/4 are never read while slot 2 is
+            # non-None, so the shell is recyclable as soon as slot 2 is
+            # cleared.
+            entry[2] = None
+            if len(arena) < self._pool_cap:
+                arena.append(entry)
+            if event.cancelled:
+                self._cancelled_queued -= 1
+                self._retire(event)
+                continue
             self._now = event.time
             self._executed += 1
             self._live -= 1
@@ -543,15 +487,19 @@ class Simulator:
             else:
                 callback()
             return True
+        return False
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run until the queue is empty, ``until`` is reached, or the budget
         of ``max_events`` is exhausted.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so back-to-back ``run`` calls
-        compose naturally (``run(until=100); run(until=200)``).
+        When ``until`` is given and no live event is left at or before it,
+        the clock is advanced to exactly ``until`` even if the last event
+        fires earlier, so back-to-back ``run`` calls compose naturally
+        (``run(until=100); run(until=200)``).  A run cut short by
+        ``max_events`` leaves the clock at the last executed event, so
+        the events still due before ``until`` stay schedulable.
 
         Returns:
             Number of events executed by this call.
@@ -560,8 +508,8 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         executed = 0
+        out_of_budget = False
         queue = self._queue
-        fifo = self._fifo
         pool = self._pool
         arena = self._arena
         # Recycling inside the drain appends unconditionally (no len/cap
@@ -577,46 +525,34 @@ class Simulator:
                 # Run-to-quiescence drain: no deadline to peek for, so
                 # every event is popped straight off -- one less index and
                 # branch per event on the hottest loop in the repo.
-                while True:
-                    if fifo and (not queue or queue[0][0] > self._now):
-                        event = fifo.popleft()
-                        if event.cancelled:
-                            self._cancelled_queued -= 1
-                            event.sequence = -1
-                            pool_append(event)
-                            continue
-                        self._now = event.time
-                    else:
-                        if not queue:
-                            break
-                        entry = pop(queue)
-                        event = entry[2]
-                        if event is None:
-                            # Light posting: fire straight off the entry.
-                            # The shell goes back to the arena *before*
-                            # the callback runs, so the entry a delivery
-                            # vacates is immediately reused by the
-                            # deliveries it causes.  Slots 3/4 are left
-                            # stale here (post() overwrites them on
-                            # reuse, event entries never read them); the
-                            # finally clause clears whatever the arena
-                            # still holds at exit.
-                            self._now = entry[0]
-                            executed += 1
-                            self._live -= 1
-                            callback = entry[3]
-                            args = entry[4]
-                            arena_append(entry)
-                            callback(*args)
-                            continue
-                        entry[2] = None
-                        arena_append(entry)
-                        if event.cancelled:
-                            self._cancelled_queued -= 1
-                            event.sequence = -1
-                            pool_append(event)
-                            continue
+                while queue:
+                    entry = pop(queue)
+                    event = entry[2]
+                    if event is None:
+                        # Light posting: fire straight off the entry.  The
+                        # shell goes back to the arena *before* the
+                        # callback runs, so the entry a delivery vacates
+                        # is immediately reused by the deliveries it
+                        # causes.  Slots 3/4 are left stale here (post()
+                        # overwrites them on reuse, event entries never
+                        # read them); the finally clause clears whatever
+                        # the arena still holds at exit.
                         self._now = entry[0]
+                        executed += 1
+                        self._live -= 1
+                        callback = entry[3]
+                        args = entry[4]
+                        arena_append(entry)
+                        callback(*args)
+                        continue
+                    entry[2] = None
+                    arena_append(entry)
+                    if event.cancelled:
+                        self._cancelled_queued -= 1
+                        event.sequence = -1
+                        pool_append(event)
+                        continue
+                    self._now = entry[0]
                     executed += 1
                     self._live -= 1
                     callback = event.callback
@@ -630,57 +566,35 @@ class Simulator:
                     else:
                         callback()
                 return executed
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                # Same-tick FIFO entries always carry larger sequence
-                # numbers than heap entries due at `now` (see module
-                # notes), so the heap drains first while its head is due.
-                if fifo and (not queue or queue[0][0] > self._now):
-                    event = fifo[0]
-                    if event.cancelled:
-                        fifo.popleft()
-                        self._cancelled_queued -= 1
-                        event.sequence = -1
-                        pool_append(event)
-                        continue
-                    if until is not None and event.time > until:
-                        break
-                    fifo.popleft()
-                    self._now = event.time
-                else:
-                    if not queue:
-                        break
-                    entry = queue[0]
-                    event = entry[2]
-                    if event is None:
-                        if until is not None and entry[0] > until:
-                            break
-                        pop(queue)
-                        self._now = entry[0]
-                        executed += 1
-                        self._live -= 1
-                        callback = entry[3]
-                        args = entry[4]
-                        arena_append(entry)
-                        callback(*args)
-                        continue
-                    if event.cancelled:
-                        pop(queue)
-                        self._cancelled_queued -= 1
-                        event.sequence = -1
-                        pool_append(event)
-                        entry[2] = None
-                        arena_append(entry)
-                        continue
-                    if until is not None and entry[0] > until:
-                        break
+            deadline = _INF if until is None else until
+            while queue:
+                entry = queue[0]
+                event = entry[2]
+                if event is not None and event.cancelled:
                     pop(queue)
-                    self._now = entry[0]
+                    self._cancelled_queued -= 1
+                    event.sequence = -1
+                    pool_append(event)
                     entry[2] = None
                     arena_append(entry)
+                    continue
+                if entry[0] > deadline:
+                    break
+                if max_events is not None and executed >= max_events:
+                    out_of_budget = True
+                    break
+                pop(queue)
+                self._now = entry[0]
                 executed += 1
                 self._live -= 1
+                if event is None:
+                    callback = entry[3]
+                    args = entry[4]
+                    arena_append(entry)
+                    callback(*args)
+                    continue
+                entry[2] = None
+                arena_append(entry)
                 callback = event.callback
                 args = event.args
                 event.sequence = -1
@@ -708,7 +622,7 @@ class Simulator:
             for entry in arena:
                 entry[3] = None
                 entry[4] = None
-        if until is not None and self._now < until:
+        if until is not None and self._now < until and not out_of_budget:
             self._now = until
         return executed
 

@@ -273,7 +273,7 @@ def poke(entry, digest):
 
 
 def memo(entry, digest):
-    object.__setattr__(entry, "_cached_digest", digest)  # repro: lint-ok[A002] fixture suppression
+    object.__setattr__(entry, "_bodies_digest", digest)  # repro: lint-ok[A002] fixture suppression
 """
 
 

@@ -1,16 +1,17 @@
-"""Digest-cache correctness: the per-message cache must be invisible.
+"""Digest correctness: fast encoding and memoized digests are invisible.
 
-Three obligations (docs/profiling.md):
+Three obligations:
 
-* cached digests are byte-identical to the seed encoder's output for
-  every wire-message shape (the cache may only change *when* hashing
-  happens, never *what* is hashed);
+* ``digest_of`` is byte-identical to the seed encoder's output for every
+  wire-message shape (the exact-type fast path may only change how fast
+  hashing happens, never *what* is hashed);
 * MAC vectors are unchanged whether a fan-out rides the coalesced batch
   path or the per-receiver path -- the authenticator depends only on
   (sender, receiver, body digest), never on delivery scheduling;
-* the cache is never invalidated, which is exactly why mutating a frozen
-  message after it has been digested is forbidden (lint rule A002): the
-  stale digest this test demonstrates is the bug the rule prevents.
+* ``Batch.bodies_digest`` is memoized on the frozen batch and never
+  invalidated, which is exactly why mutating a frozen message after it
+  has been digested is forbidden (lint rule A002): the stale digest this
+  test demonstrates is the bug the rule prevents.
 """
 
 import dataclasses
@@ -25,9 +26,7 @@ from repro.crypto.primitives import (
     KeyStore,
     Mac,
     Signature,
-    digest_cache_stats,
     digest_of,
-    reset_digest_cache_stats,
 )
 from repro.harness.perf import _seed_digest_of
 from repro.net.latency import LatencyModel
@@ -78,8 +77,8 @@ class TestByteIdentity:
         assert digest_of(make_batch(1)).value == first.value
 
     def test_every_registered_wire_class_is_frozen(self):
-        # The cache's immutability contract: every class that crosses
-        # the wire is a frozen dataclass (and therefore cacheable).
+        # The immutability contract A002 guards: every class that
+        # crosses the wire is a frozen dataclass.
         # The registry is process-global and other test modules register
         # ad-hoc fixture classes, so scope the sweep to the package.
         for cls in registered_classes():
@@ -87,27 +86,6 @@ class TestByteIdentity:
                 continue
             assert dataclasses.is_dataclass(cls), cls
             assert cls.__dataclass_params__.frozen, cls
-
-
-class TestMemoization:
-    def test_frozen_message_is_cached(self):
-        reset_digest_cache_stats()
-        batch = make_batch(2)
-        first = digest_of(batch)
-        second = digest_of(batch)
-        assert second is first  # the cached Digest object itself
-        stats = digest_cache_stats()
-        assert stats["hits"] >= 1
-        assert stats["stores"] >= 1
-
-    def test_plain_tuples_are_never_cached(self):
-        reset_digest_cache_stats()
-        body = ("batch", b"x" * 64)
-        digest_of(body)
-        digest_of(body)
-        stats = digest_cache_stats()
-        assert stats["hits"] == 0
-        assert stats["uncached"] == 2
 
 
 def _auth_net(sites, coalesce):
@@ -177,15 +155,18 @@ class TestMutationAfterDigestGuard:
     """Why A002 exists: a mutated message keeps serving its stale digest."""
 
     def test_mutation_after_digest_serves_stale_digest(self):
-        request = Request(op=("put", "k", b"old"), timestamp=1, client=1)
-        before = digest_of(request)
+        batch = make_batch(4)
+        before = batch.bodies_digest()
         # The forbidden write A002 flags in real code -- performed here
         # deliberately to pin down the failure mode it prevents.
-        object.__setattr__(request, "timestamp", 999)  # repro: lint-ok[A002]
-        assert digest_of(request) is before  # stale: cache never revalidates
-        fresh = Request(op=("put", "k", b"old"), timestamp=999, client=1)
-        assert digest_of(fresh).value != before.value
+        swapped = make_batch(5).requests
+        object.__setattr__(batch, "requests", swapped)  # repro: lint-ok[A002]
+        assert batch.bodies_digest() is before  # stale: memo never revalidates
+        assert Batch(swapped).bodies_digest().value != before.value
 
     def test_unmutated_messages_never_go_stale(self):
         batch = make_batch(3)
         assert digest_of(batch).value == _seed_digest_of(batch).value
+        bodies = tuple(r.body() for r in batch.requests)
+        assert batch.bodies_digest().value == _seed_digest_of(bodies).value
+        assert batch.bodies_digest() is batch.bodies_digest()

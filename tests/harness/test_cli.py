@@ -65,7 +65,6 @@ class TestCommands:
                      "--broadcast-rounds", "200", "--clients", "2",
                      "--duration", "0.5", "--repeat", "1",
                      "--heap-pending", "20000", "--heap-churn", "2000",
-                     "--same-tick", "50",
                      "--output", str(out_path)])
         assert code == 0
         out = capsys.readouterr().out
@@ -73,13 +72,12 @@ class TestCommands:
         payload = json.loads(out_path.read_text())
         benches = payload["benchmarks"]
         assert set(benches) == {"event_churn", "heap_churn_1m",
-                                "same_tick_drain", "message_storm",
-                                "broadcast_storm", "authenticated_broadcast",
-                                "digest_cache", "xpaxos_closed_loop",
+                                "message_storm", "broadcast_storm",
+                                "authenticated_broadcast",
+                                "xpaxos_closed_loop",
                                 "pipelined_throughput", "cohort_driver"}
         # The optimized paths must be observationally identical to the seed.
         assert benches["heap_churn_1m"]["results_match"]
-        assert benches["same_tick_drain"]["results_match"]
         assert benches["message_storm"]["results_match"]
         assert benches["broadcast_storm"]["results_match"]
         assert benches["authenticated_broadcast"]["results_match"]
@@ -138,7 +136,8 @@ class TestCommands:
         assert "fault-free x paxos: pass" in out
         # Subsystem counters precede the wall-clock profile.
         assert "[sim]" in out and "[network]" in out
-        assert "fast_lane" in out and "auth_stamped" in out
+        assert "heap_pushes" in out and "auth_stamped" in out
+        assert "[crypto]" in out and "digest_of" in out
         assert "cumulative" in out
         assert pstats_path.exists()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.trajectory import (
+    RETIRED_BENCHMARKS,
     best_speedups,
     check_point,
     format_check,
@@ -94,13 +95,24 @@ class TestGate:
 
     def test_removed_benchmark_is_flagged(self, tmp_path):
         """Deleting or renaming a gated benchmark is the quietest way to
-        give a speedup back: the gate must notice the hole."""
-        record_point(suite_payload(broadcast_storm=2.0),
+        give a speedup back: the gate must notice the hole.  Only the
+        retired digest_cache gauge may go missing alongside it."""
+        record_point(suite_payload(broadcast_storm=2.0, digest_cache=9.0),
                      history_dir=str(tmp_path))
         history = load_history(str(tmp_path))
         problems = check_point(suite_payload(event_churn=3.0), history)
-        assert any("broadcast_storm" in p and "missing" in p
-                   for p in problems)
+        assert len(problems) == 1
+        assert "broadcast_storm" in problems[0] and "missing" in problems[0]
+
+    def test_retired_benchmarks_may_go_missing(self, tmp_path):
+        assert set(RETIRED_BENCHMARKS) == {"same_tick_drain",
+                                           "digest_cache"}
+        record_point(suite_payload(broadcast_storm=2.0,
+                                   same_tick_drain=3.0, digest_cache=9.0),
+                     history_dir=str(tmp_path))
+        history = load_history(str(tmp_path))
+        assert check_point(suite_payload(broadcast_storm=2.0),
+                           history) == []
 
     def test_tolerance_is_configurable(self, tmp_path):
         record_point(suite_payload(broadcast_storm=2.0),
@@ -170,6 +182,9 @@ class TestCli:
         args = ["trajectory", "check", str(payload_path),
                 "--history-dir", str(history)]
         assert main(args) == 0  # empty history seeds
+        out = capsys.readouterr().out
+        for name, reason in RETIRED_BENCHMARKS.items():
+            assert f"{name} retired, not gated: {reason}" in out
 
         assert main(["trajectory", "record", str(payload_path),
                      "--history-dir", str(history),

@@ -3,8 +3,7 @@ and reused by ``schedule()``/``post()``, so at steady state the hot loop
 allocates no entry lists.  These tests pin down the freelist's
 observable contract: the stats counters, actual recycling at steady
 state, the shared cap with the event pool, and -- most importantly --
-that the arena changes nothing about execution order or timing in
-either batch-drain mode.
+that the arena changes nothing about execution order or timing.
 """
 
 from repro.sim.core import Simulator
@@ -83,27 +82,7 @@ class TestArenaRecycling:
 
 
 class TestArenaEquivalence:
-    """Recycling must be invisible: both batch-drain modes, same tape."""
-
-    def _run(self, batch_drain):
-        sim = Simulator(batch_drain=batch_drain)
-        log = []
-
-        def fire(i):
-            log.append((sim.now, i))
-            if i % 3 == 0:
-                # Same-tick re-entry exercises the FIFO lane (batch
-                # drain) or an immediate heap push (no batch drain).
-                sim.schedule(sim.now, log.append, ((sim.now, -i),))
-            if i < 60:
-                sim.post(sim.now + 0.5 + (i % 7) * 0.25, fire, (i + 1,))
-
-        sim.post(1.0, fire, (0,))
-        sim.run()
-        return log, sim.now
-
-    def test_batch_drain_modes_agree(self):
-        assert self._run(batch_drain=True) == self._run(batch_drain=False)
+    """Recycling must be invisible: reused entries keep the schedule."""
 
     def test_recycled_entries_preserve_ordering(self):
         # Interleave cancellations with postings so vacated event

@@ -132,6 +132,20 @@ class TestRun:
         assert executed == 4
         assert sim.pending == 6
 
+    def test_budget_stop_keeps_clock_before_pending_events(self):
+        # Stopping on max_events must not jump the clock to `until` past
+        # events still due before it: they fire later at their own time.
+        sim = Simulator()
+        seen = []
+        sim.call_at(10.0, lambda: seen.append(sim.now))
+        sim.call_at(20.0, lambda: seen.append(sim.now))
+        assert sim.run(until=100.0, max_events=1) == 1
+        assert sim.now == 10.0 and sim.pending == 1
+        sim.call_at(50.0, lambda: seen.append(sim.now))
+        sim.run(until=100.0)
+        assert seen == [10.0, 20.0, 50.0]
+        assert sim.now == 100.0
+
     def test_step_executes_one_event(self):
         sim = Simulator()
         seen = []

@@ -1,10 +1,10 @@
-"""Batch-drain fast lane, ``post()`` light entries, and recycling edges.
+"""Same-tick ordering, ``post()`` light entries, and recycling edges.
 
-The fast lane buckets events scheduled at exactly ``now`` into a FIFO
-drained without per-event heap traffic; ``post()`` schedules a
-fire-and-forget callback with no Event object at all.  Both are pure
-representation changes: every test here pins the observable schedule
-(callback order, counts, handles) to the heap-only baseline.
+Events scheduled at exactly ``now`` go through the heap like any other;
+``post()`` schedules a fire-and-forget callback with no Event object at
+all; fired and cancelled events are recycled through a free pool.  Every
+test here pins the observable schedule (callback order, counts, handles)
+across those representation choices.
 """
 
 import pytest
@@ -13,68 +13,28 @@ from repro.common.errors import SimulationError
 from repro.sim.core import _POOL_CAP, Simulator
 
 
-def _same_tick_trace(batch_drain):
-    """A workload that leans on same-tick scheduling, with interleaved
-    future events and cancellations, traced as (time, label) pairs."""
-    sim = Simulator(batch_drain=batch_drain)
-    log = []
-
-    def note(label):
-        log.append((sim.now, label))
-
-    def burst(round_no):
-        note(f"burst{round_no}")
-        # Same-tick chain: three immediate continuations, one of which
-        # schedules yet another one.
-        sim.call_soon(note, args=(f"soon{round_no}a",))
-        sim.call_soon(lambda: sim.call_soon(note,
-                                            args=(f"nested{round_no}",)))
-        sim.call_soon(note, args=(f"soon{round_no}b",))
-        # A future event plus a cancelled sibling, to mix heap traffic in.
-        keep = sim.call_after(3.0, note, args=(f"later{round_no}",))
-        drop = sim.call_after(3.0, note, args=(f"dropped{round_no}",))
-        drop.cancel()
-        assert keep.active
-        if round_no < 5:
-            sim.call_after(10.0, burst, args=(round_no + 1,))
-
-    sim.call_at(1.0, burst, args=(0,))
-    sim.run()
-    return log, sim.stats()
-
-
 class TestFastLaneEquivalence:
-    def test_same_schedule_with_lane_on_and_off(self):
-        fast, fast_stats = _same_tick_trace(batch_drain=True)
-        slow, slow_stats = _same_tick_trace(batch_drain=False)
-        assert fast == slow
-        assert fast_stats["executed"] == slow_stats["executed"]
-        assert fast_stats["cancelled"] == slow_stats["cancelled"]
-        # The lane actually engaged: the same-tick continuations skipped
-        # the heap on the fast run and hit it on the baseline.
-        assert fast_stats["fast_lane"] > 0
-        assert slow_stats["fast_lane"] == 0
-        assert fast_stats["heap_pushes"] < slow_stats["heap_pushes"]
+    """Same-tick scheduling rides the heap: the ``(time, sequence)`` key
+    fires work scheduled at ``now`` after everything queued before it."""
 
     def test_heap_events_due_now_fire_before_fifo_entries(self):
         # An event scheduled *earlier* for time T must precede a
-        # same-tick event created at T, even though the former sits in
-        # the heap and the latter in the FIFO.
+        # same-tick event created at T.
         sim = Simulator()
         log = []
-        sim.call_at(5.0, lambda: log.append("heap-first"))
+        sim.call_at(5.0, lambda: log.append("queued-first"))
 
         def at_five():
             log.append("firing")
-            sim.call_soon(lambda: log.append("fifo-second"))
+            sim.call_soon(lambda: log.append("same-tick-second"))
 
-        # Insertion order: this callback runs before "heap-first" is
-        # popped only if it was scheduled first -- schedule it second so
-        # the heap entry drains first, then the FIFO entry.
+        # Insertion order: this callback runs before "queued-first" only
+        # if it was scheduled first -- schedule it after, so the earlier
+        # entry drains first, then the one created at T.
         sim.call_at(5.0, lambda: None)  # placeholder to vary sequences
         sim.call_at(5.0, at_five)
         sim.run()
-        assert log == ["heap-first", "firing", "fifo-second"]
+        assert log == ["queued-first", "firing", "same-tick-second"]
 
     def test_cancel_same_tick_event_before_it_fires(self):
         sim = Simulator()
@@ -118,19 +78,22 @@ class TestPost:
         with pytest.raises(SimulationError):
             sim.post(5.0, lambda: None)
 
-    def test_post_at_now_falls_back_to_fifo_lane(self):
-        # Same-tick posts become ordinary Events so the FIFO stays
-        # homogeneous; they still fire this tick, in order.
+    def test_post_at_now_is_a_light_entry(self):
+        # Same-tick posts stay light entries (no Event drawn from the
+        # pool) and fire this tick, in insertion order with call_soon.
         sim = Simulator()
         log = []
 
         def now_burst():
             sim.post(sim.now, log.append, args=("x",))
-            sim.post(sim.now, log.append, args=("y",))
+            sim.call_soon(log.append, args=("y",))
+            sim.post(sim.now, log.append, args=("z",))
 
         sim.call_at(3.0, now_burst)
         sim.run()
-        assert log == ["x", "y"]
+        assert log == ["x", "y", "z"]
+        # Only call_soon reused the Event now_burst vacated.
+        assert sim.stats()["pool_hits"] == 1
 
     def test_post_counts_as_pending_and_executed(self):
         sim = Simulator()
